@@ -6,8 +6,8 @@
 // Unix socket; client threads drive the decide line protocol at several
 // offered loads (clients x pipeline depth). Every load level runs twice:
 //
-//   unbatched — max_batch=1: every request takes the single-request
-//               Decide path, exactly the pre-batching daemon;
+//   unbatched — max_batch=1: every request executes alone, as a
+//               DecideWeightsBatch forward of batch one;
 //   batched   — max_batch=8 with a small batching window: pending decides
 //               coalesce into one DecideWeightsBatch forward and the
 //               stacked outputs de-interleave back per connection.
@@ -307,8 +307,9 @@ int main(int argc, char** argv) {
                    arms[a].name);
       return 1;
     }
-    // Warm-up: fault in code paths and record the compiled plans (single
-    // and stacked shapes) so the timed arms measure steady-state replay.
+    // Warm-up: fault in code paths and record the compiled plans (batch
+    // one and stacked shapes) so the timed arms measure steady-state
+    // replay.
     (void)RunArm(scfg.socket_path, Load{"warm", 2, 8}, warmup_requests,
                  rows, kAssets);
     for (int l = 0; l < 3; ++l) {
@@ -369,7 +370,7 @@ int main(int argc, char** argv) {
         "clients x pipeline depth; latency is send-to-response per "
         "request. high_load_throughput_gain is the batched/unbatched "
         "throughput ratio at the highest load (check.sh gates >= 1.5); "
-        "the low-load arms share the single-request path, so their p50s "
+        "the low-load arms share the batch-of-one path, so their p50s "
         "track each other by construction.\"\n";
   js << "}\n";
 

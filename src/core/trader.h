@@ -35,8 +35,6 @@ class CrossInsightTrader : public env::TradingAgent {
   // checkpoints — the series plotted in Fig. 8).
   std::vector<double> Train(const market::PanelView& panel,
                             int64_t curve_points = 20);
-  std::vector<double> Train(const market::PricePanel& panel,
-                            int64_t curve_points = 20);
 
   std::string name() const override { return "CIT"; }
   void Reset() override;
@@ -47,16 +45,15 @@ class CrossInsightTrader : public env::TradingAgent {
   // Stateless batched decision for the serving path: decides every panel
   // at its own last day with uniform previous actions — exactly the
   // semantics of Reset() + DecideWeights(panel, num_days() - 1) per panel
-  // — through one axis-0-stacked forward per policy, so N concurrent
-  // requests pay one plan replay each instead of N. Each returned weight
-  // vector is bitwise identical to the corresponding single-panel call.
+  // — through the same stacked decide as DecideWeights, at batch N, so N
+  // concurrent requests pay one plan replay per policy instead of N. Each
+  // returned weight vector is bitwise identical to the corresponding
+  // single-panel call. Every panel must have num_assets() assets.
   // Bypasses the source-keyed feature cache and mutates no execution
-  // state (held actions, feature cache); it does drive its own
-  // CompiledFn caches, so the single-owner thread contract still applies.
+  // state (held actions, feature cache); it does drive the CompiledFn
+  // caches, so the single-owner thread contract still applies.
   std::vector<std::vector<double>> DecideWeightsBatch(
       const std::vector<market::PanelView>& panels);
-  std::vector<std::vector<double>> DecideWeightsBatch(
-      const std::vector<const market::PricePanel*>& panels);
 
   // Drops the per-day feature cache. The cache invalidates by the view's
   // source id — ids are allocated from a process-wide monotonic counter
@@ -70,11 +67,9 @@ class CrossInsightTrader : public env::TradingAgent {
   // borrows this trader, which must outlive it.
   std::unique_ptr<env::TradingAgent> MakePolicyAgent(int64_t k);
 
-  // Deterministic pre-decision weights of policy k at `day`.
+  // Deterministic pre-decision weights of policy k at `day`, given the
+  // policy's previous action (num_assets() weights).
   std::vector<double> PolicyWeights(const market::PanelView& panel,
-                                    int64_t day, int64_t k,
-                                    const std::vector<double>& prev_action);
-  std::vector<double> PolicyWeights(const market::PricePanel& panel,
                                     int64_t day, int64_t k,
                                     const std::vector<double>& prev_action);
 
@@ -117,13 +112,23 @@ class CrossInsightTrader : public env::TradingAgent {
   DayFeatures ComputeFeatures(const market::PanelView& panel,
                               int64_t day) const;
 
-  // Deterministic Gaussian mean of policy k for (band, prev_action),
-  // served through the policy's compiled plan: the first call per input
-  // shape records the forward, later calls replay it allocation-free.
-  // Shared by DecideWeights and PolicyWeights so both paths hit the same
-  // plan cache.
-  Tensor ActorMean(int64_t k, const Tensor& band,
-                   const std::vector<double>& prev_action);
+  // Deterministic Gaussian means of policy k for stacked (bands, prev)
+  // ([B*m, 1, z], [B*m, 1]), served through the policy's compiled plan:
+  // the first call per input shape records the forward, later calls replay
+  // it allocation-free. Shared by the stacked decide and PolicyWeights so
+  // every path hits the same plan cache.
+  Tensor ActorMean(int64_t k, const Tensor& bands, const Tensor& prev);
+
+  // One CIT decision over B = feats.size() requests (paper Sec. IV-B): the
+  // n horizon-policy forwards, then the cross-insight fusion, each run once
+  // over the requests' windows stacked along axis 0. prev[k] holds policy
+  // k's previous actions for every request ([B*m, 1]). Returns each
+  // request's final weights and, per request, every policy's pre-decision
+  // weights in `*pre` ([B][n][m]).
+  std::vector<std::vector<double>> DecideStacked(
+      const std::vector<const DayFeatures*>& feats,
+      const std::vector<Tensor>& prev,
+      std::vector<std::vector<std::vector<double>>>* pre);
 
   // All networks flattened under stable name prefixes — the parameter set
   // for SaveModel/LoadModel and checkpoints.
@@ -145,19 +150,15 @@ class CrossInsightTrader : public env::TradingAgent {
   std::vector<std::vector<double>> held_actions_;
 
   // Compiled-forward caches for the deterministic inference path: one per
-  // horizon policy plus one for the cross-insight policy. Parameter
-  // staleness is handled inside the plans (per-parameter version
-  // snapshots), so training between backtests just re-records.
+  // horizon policy plus one for the cross-insight policy, shared by every
+  // batch size. Batch size is part of the input-shape key, so the caches
+  // get a widened capacity (one live key per batch size per policy) and a
+  // serving mix of batch sizes does not churn the batch-1 plan backtests
+  // replay. Parameter staleness is handled inside the plans
+  // (per-parameter version snapshots), so training between backtests
+  // just re-records.
   std::vector<plan::CompiledFn> actor_plans_;
   plan::CompiledFn cross_plan_;
-
-  // Separate compiled caches for the batched serving path: batch size is
-  // part of the input-shape key, so a serving mix of batch sizes would
-  // thrash the 8-entry single-request caches above. These get a widened
-  // capacity (one live key per batch size per policy) and keep the
-  // single-request plans untouched.
-  std::vector<plan::CompiledFn> actor_batch_plans_;
-  plan::CompiledFn cross_batch_plan_;
 
   // In-flight training progress; checkpointed and restored on resume.
   rl::TrainProgress progress_;

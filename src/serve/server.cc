@@ -350,10 +350,10 @@ static Conn* FindConn(std::vector<Conn>& conns, uint64_t id) {
 }
 
 // Pops and executes one batch of up to max_batch queued decides: one
-// DecideBatch forward (or the plain single-request Decide when only one
-// request is pending), then de-interleaves the responses back onto each
-// connection's first unanswered slot — queue order and per-connection slot
-// order agree, both are request order.
+// DecideBatch forward (a lone request is a batch of one), then
+// de-interleaves the responses back onto each connection's first
+// unanswered slot — queue order and per-connection slot order agree, both
+// are request order.
 void Server::Impl::ExecuteBatch(Impl::Worker& w, std::vector<Conn>& conns,
                                 BatchState& bs) {
   const size_t k = std::min(bs.queue.size(),
@@ -371,18 +371,9 @@ void Server::Impl::ExecuteBatch(Impl::Worker& w, std::vector<Conn>& conns,
     for (std::string& t : texts) {
       t = FormatError("model", "weight reload failed: " + reload_error);
     }
-  } else if (k == 1) {
-    // Single-request fast path: the same call the unbatched daemon made.
-    Result<std::vector<double>> r = w.replica->Decide(items[0].panel);
-    if (!r.ok()) {
-      CIT_OBS_COUNT("serve.input_errors", 1);
-      texts[0] = FormatError("input", r.status().message());
-    } else {
-      texts[0] = FormatDecideResponse(w.local_gen, r.value());
-    }
   } else {
     CIT_OBS_SPAN("serve.batch_us");
-    CIT_OBS_COUNT("serve.batched_requests", k);
+    if (k > 1) CIT_OBS_COUNT("serve.batched_requests", k);
     std::vector<const market::PricePanel*> panels;
     panels.reserve(k);
     for (const PendingDecide& pd : items) panels.push_back(&pd.panel);

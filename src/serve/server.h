@@ -61,10 +61,12 @@ class ServedModel {
       const market::PricePanel& panel) = 0;
 
   // Batched decision: one result per panel, each required to be bitwise
-  // identical to Decide on that panel alone. The default loops Decide —
-  // correct for any model; implementations with a genuinely batched
-  // forward (CrossInsightTrader::DecideWeightsBatch) override it so the
-  // batcher amortizes per-op dispatch across the requests.
+  // identical to Decide on that panel alone. The server executes every
+  // decide through this call (a lone request is a batch of one). The
+  // default loops Decide — correct for any model; implementations with a
+  // genuinely batched forward (CrossInsightTrader::DecideWeightsBatch)
+  // override it so the batcher amortizes per-op dispatch across the
+  // requests.
   virtual std::vector<Result<std::vector<double>>> DecideBatch(
       const std::vector<const market::PricePanel*>& panels) {
     std::vector<Result<std::vector<double>>> out;
@@ -94,11 +96,12 @@ struct ServerConfig {
   int sndbuf_bytes = 0;
   // Request batching (per worker): decide requests land on a queue and
   // execute together through ServedModel::DecideBatch, up to max_batch per
-  // forward. A lone queued request never waits — it takes the
-  // single-request Decide path immediately, so p50 at low load matches the
-  // unbatched daemon — and a full batch flushes at once; a partial batch
-  // (2..max_batch-1 requests) may wait up to batch_window_us for more
-  // arrivals before flushing. max_batch <= 1 disables batching entirely.
+  // forward. A lone queued request never waits — it executes at once as a
+  // batch of one, so p50 at low load matches the unbatched daemon — and a
+  // full batch flushes at once; a partial batch (2..max_batch-1 requests)
+  // may wait up to batch_window_us for more arrivals before flushing.
+  // max_batch <= 1 disables batching entirely (every forward is a batch of
+  // one).
   int64_t batch_window_us = 0;
   int max_batch = 8;
   // Flip the obs runtime switch on at Start so the stats endpoint counts

@@ -68,7 +68,7 @@ TEST(HorizonActorTest, MeanShapeAndIdDiversity) {
   HorizonActor a0(cfg, 4, 0, rng);
   HorizonActor a1(cfg, 4, 1, rng);
   Tensor band = Tensor::Uniform({4, 1, 8}, rng, -1, 1);
-  std::vector<double> prev(4, 0.25);
+  Tensor prev = Tensor::Full({4, 1}, 0.25f);
   Var m0 = a0.Forward(band, prev);
   Var m1 = a1.Forward(band, prev);
   EXPECT_EQ(m0.shape(), (math::Shape{4}));
@@ -196,6 +196,61 @@ TEST(Trader, DecideWeightsOnSimplex) {
   trader.Reset();
   const auto w = trader.DecideWeights(panel, panel.train_end() + 3);
   EXPECT_TRUE(env::IsValidPortfolio(w));
+}
+
+// The stacked decide over a batch of panels with different history
+// lengths, for every backbone kind with and without horizon policies: each
+// row must be bitwise the single-panel decision on that panel.
+TEST(Trader, BatchRowsBitwiseEqualSingleDecides) {
+  auto panel = SmallPanel();
+  const int64_t z = TinyConfig().window;
+  const std::vector<market::PricePanel> requests = {
+      panel.SliceDays(0, z), panel.SliceDays(20, 27 + z),
+      panel.SliceDays(100, 160)};
+  const std::vector<market::PanelView> views(requests.begin(),
+                                             requests.end());
+  for (BackboneKind kind :
+       {BackboneKind::kTcnAttention, BackboneKind::kGruAttention,
+        BackboneKind::kGru, BackboneKind::kMlp}) {
+    for (int64_t n : {0, 2}) {
+      CrossInsightConfig cfg = TinyConfig(n);
+      cfg.backbone = kind;
+      CrossInsightTrader trader(panel.num_assets(), cfg);
+      const auto batch = trader.DecideWeightsBatch(views);
+      ASSERT_EQ(batch.size(), requests.size());
+      for (size_t b = 0; b < requests.size(); ++b) {
+        trader.Reset();
+        const auto single =
+            trader.DecideWeights(requests[b], requests[b].num_days() - 1);
+        EXPECT_EQ(batch[b], single) << BackboneKindName(kind) << " n=" << n
+                                    << " request " << b;
+      }
+    }
+  }
+}
+
+TEST(TraderDeathTest, BatchRejectsPanelWithAnotherAssetCount) {
+  auto panel = SmallPanel();  // 4 assets
+  CrossInsightTrader trader(panel.num_assets(), TinyConfig(2));
+  auto with_assets = [](int64_t assets) {
+    market::MarketConfig cfg;
+    cfg.num_assets = assets;
+    cfg.train_days = 20;
+    cfg.test_days = 10;
+    return market::SimulateMarket(cfg);
+  };
+  const market::PricePanel narrow = with_assets(3);
+  const market::PricePanel wide = with_assets(5);
+  EXPECT_DEATH((trader.DecideWeightsBatch({panel, narrow})), "asset count");
+  EXPECT_DEATH(trader.DecideWeightsBatch({wide}), "asset count");
+}
+
+TEST(TraderDeathTest, PolicyWeightsRejectsShortPrevAction) {
+  auto panel = SmallPanel();  // 4 assets
+  CrossInsightTrader trader(panel.num_assets(), TinyConfig(2));
+  EXPECT_DEATH(trader.PolicyWeights(panel, panel.train_end(), 0,
+                                    std::vector<double>(3, 1.0 / 3.0)),
+               "prev_action");
 }
 
 TEST(Trader, CounterfactualLearnsPlantedBandSignal) {

@@ -240,6 +240,26 @@ TEST(CompiledIdentity, BacktestActuallyReplays) {
   EXPECT_EQ(poisoned, 0u); // every op in the forward is replayable
 }
 
+// Backtests and served requests run one decide path: a batch of one panel
+// shaped like the backtest's reuses the plans the backtest recorded.
+TEST(CompiledIdentity, BatchOfOneReplaysBacktestPlans) {
+  auto panel = SmallPanel();
+  CompileAllowedScope scope(true);
+  obs::SetEnabled(true);
+  obs::Registry::Global().ResetAll();
+  core::CrossInsightTrader trader(panel.num_assets(), TinyCitConfig());
+  (void)env::RunTestBacktest(trader, panel, /*window=*/8);
+  obs::Counter& cold = obs::Registry::Global().GetCounter("plan.misses_cold");
+  const uint64_t after_backtest = cold.Total();
+  const market::PricePanel request =
+      panel.SliceDays(panel.num_days() - 8, panel.num_days());
+  (void)trader.DecideWeightsBatch({market::PanelView(request)});
+  const uint64_t after_batch = cold.Total();
+  obs::SetEnabled(false);
+  EXPECT_GT(after_backtest, 0u);  // the backtest recorded every plan
+  EXPECT_EQ(after_batch, after_backtest);
+}
+
 // ---- Parameter-version staleness -------------------------------------------
 
 // A training step between two DecideWeights calls mutates every parameter;
