@@ -126,9 +126,12 @@ echo "=== compiled-forward gate (plan replay bitwise + committed ratio) ==="
 # replay on vs. forced off (CIT_COMPILE=0 semantics) at 1 and 4 pool
 # threads, that parameter mutations (optimizer steps, checkpoint reloads)
 # invalidate stale plans, and that fusion/eviction/kill-switch behave; run
-# it serial and parallel.
+# it serial and parallel, and once with the kill switch set in the
+# environment: the structural tests open their own compile-allowed scope,
+# so they must pass whatever CIT_COMPILE the process starts with.
 (cd build && run env CIT_NUM_THREADS=1 ./tests/test_plan)
 (cd build && run env CIT_NUM_THREADS=4 ./tests/test_plan)
+(cd build && run env CIT_COMPILE=0 ./tests/test_plan)
 # The committed benchmark must show plan replay buying at least 1.25x
 # single-thread decision throughput over the interpreted graph-free path
 # (the nograd >= 1.5x bar below it is asserted the same way). Only

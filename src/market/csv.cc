@@ -1,129 +1,83 @@
 #include "market/csv.h"
 
-#include <fstream>
-#include <sstream>
+#include <charconv>
+#include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "market/csv_parse.h"
 
 namespace cit::market {
 
-using csv_internal::ParseInt64;
-using csv_internal::ParsePriceCell;
-using csv_internal::StripTrailingCr;
+using csv_internal::CsvSummary;
+using csv_internal::OpenForRead;
+using csv_internal::ScanCsv;
+using csv_internal::ScopedFd;
 
 Status SavePanelCsv(const PricePanel& panel, const std::string& path) {
-  std::ofstream out(path);
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> out(
+      std::fopen(path.c_str(), "w"), &std::fclose);
   if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << "#train_end=" << panel.train_end() << "\n";
-  out << "day";
-  for (const auto& name : panel.asset_names()) out << "," << name;
-  out << "\n";
-  out.precision(10);
-  for (int64_t t = 0; t < panel.num_days(); ++t) {
-    out << t;
-    for (int64_t i = 0; i < panel.num_assets(); ++i) {
-      out << "," << panel.Close(t, i);
-    }
-    out << "\n";
+  // One line at a time through stdio's buffer, never the whole file.
+  std::string line;
+  bool ok = true;
+  auto write_line = [&] {
+    line += '\n';
+    ok = ok && std::fwrite(line.data(), 1, line.size(), out.get()) ==
+                   line.size();
+    line.clear();
+  };
+  line = "#train_end=" + std::to_string(panel.train_end());
+  write_line();
+  line = "day";
+  for (const auto& name : panel.asset_names()) {
+    line += ',';
+    line += name;
   }
-  if (!out) return Status::IoError("write failed: " + path);
+  write_line();
+  // Prices print as "%.10g", which to_chars with an explicit precision is
+  // specified to match; that is at most 17 characters ("-1.234567891e-308").
+  char number[32];
+  for (int64_t t = 0; ok && t < panel.num_days(); ++t) {
+    line += std::to_string(t);
+    for (int64_t i = 0; i < panel.num_assets(); ++i) {
+      const auto printed =
+          std::to_chars(number, number + sizeof(number), panel.Close(t, i),
+                        std::chars_format::general, 10);
+      line += ',';
+      line.append(number, printed.ptr);
+    }
+    write_line();
+  }
+  if (!ok || std::fclose(out.release()) != 0) {
+    return Status::IoError("write failed: " + path);
+  }
   return Status::OK();
 }
 
 Result<PricePanel> LoadPanelCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-
-  int64_t train_end = 0;
-  bool saw_train_end = false;
-  std::string line;
-  // Optional comment lines before the header.
-  while (std::getline(in, line)) {
-    StripTrailingCr(&line);
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      const std::string key = "#train_end=";
-      if (line.rfind(key, 0) == 0) {
-        if (!ParseInt64(line.substr(key.size()), &train_end)) {
-          return Status::InvalidArgument("malformed #train_end header: '" +
-                                         line + "'");
-        }
-        saw_train_end = true;
-      }
-      continue;
-    }
-    break;  // `line` now holds the header
+  const ScopedFd file = OpenForRead(path);
+  if (!file.valid()) {
+    return Status::IoError("cannot open for reading: " + path);
   }
-  if (line.empty()) return Status::InvalidArgument("empty CSV: " + path);
+  CsvSummary summary;
+  std::vector<double> closes;  // row-major, one row of prices per day
+  const Status scanned = ScanCsv(
+      file.get(), path, &summary,
+      [&](const double* prices, int64_t /*row_offset*/,
+          int64_t /*next_offset*/) {
+        closes.insert(closes.end(), prices,
+                      prices + summary.asset_names.size());
+      });
+  if (!scanned.ok()) return scanned;
 
-  std::vector<std::string> names;
-  {
-    std::stringstream ss(line);
-    std::string cell;
-    bool first = true;
-    while (std::getline(ss, cell, ',')) {
-      StripTrailingCr(&cell);
-      if (first) {
-        first = false;  // day column
-      } else {
-        if (cell.empty()) {
-          return Status::InvalidArgument("empty asset name in CSV header: " +
-                                         path);
-        }
-        names.push_back(cell);
-      }
-    }
-  }
-  if (names.empty()) {
-    return Status::InvalidArgument("CSV has no asset columns: " + path);
-  }
-
-  std::vector<std::vector<double>> rows;
-  while (std::getline(in, line)) {
-    StripTrailingCr(&line);
-    if (line.empty() || line[0] == '#') continue;
-    std::stringstream ss(line);
-    std::string cell;
-    std::vector<double> row;
-    bool first = true;
-    while (std::getline(ss, cell, ',')) {
-      if (first) {
-        first = false;
-        continue;
-      }
-      double v = 0.0;
-      const Status parsed = ParsePriceCell(cell, &v);
-      if (!parsed.ok()) return parsed;
-      row.push_back(v);
-    }
-    if (row.size() != names.size()) {
-      return Status::InvalidArgument(
-          "ragged CSV row in " + path + ": expected " +
-          std::to_string(names.size()) + " prices, got " +
-          std::to_string(row.size()));
-    }
-    rows.push_back(std::move(row));
-  }
-  if (rows.empty()) return Status::InvalidArgument("CSV has no data rows");
-
-  const int64_t num_days = static_cast<int64_t>(rows.size());
-  // A split outside the panel makes every train/test-range consumer
-  // misbehave later (empty test split, CHECK failures deep in training);
-  // reject it here with the file context still in hand.
-  if (saw_train_end && (train_end < 0 || train_end > num_days)) {
-    return Status::InvalidArgument(
-        "#train_end=" + std::to_string(train_end) +
-        " outside [0, " + std::to_string(num_days) + "] in " + path);
-  }
-
-  PricePanel panel(num_days, static_cast<int64_t>(names.size()));
-  panel.asset_names() = names;
-  panel.set_train_end(train_end);
-  for (size_t t = 0; t < rows.size(); ++t) {
-    for (size_t i = 0; i < names.size(); ++i) {
-      panel.SetClose(static_cast<int64_t>(t), static_cast<int64_t>(i),
-                     rows[t][i]);
+  const int64_t m = static_cast<int64_t>(summary.asset_names.size());
+  PricePanel panel(summary.num_days, m);
+  panel.asset_names() = std::move(summary.asset_names);
+  panel.set_train_end(summary.train_end);
+  for (int64_t t = 0; t < summary.num_days; ++t) {
+    for (int64_t i = 0; i < m; ++i) {
+      panel.SetClose(t, i, closes[static_cast<size_t>(t * m + i)]);
     }
   }
   return panel;

@@ -1,22 +1,27 @@
 #include "market/streaming_csv.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
+#include <memory>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
-#include "market/csv_parse.h"
+#include "obs/telemetry.h"
 
 namespace cit::market {
 
-using csv_internal::ParseInt64;
-using csv_internal::ParsePriceCell;
+using csv_internal::CsvSummary;
+using csv_internal::IsDataRow;
+using csv_internal::OpenForRead;
+using csv_internal::ParseRow;
+using csv_internal::PreadFull;
+using csv_internal::ScanCsv;
+using csv_internal::Splitter;
 using csv_internal::StripTrailingCr;
 
 StreamingCsvSource::StreamingCsvSource(std::string path,
                                        StreamingCsvOptions options)
-    : path_(std::move(path)), options_(options) {}
+    : path_(std::move(path)), options_(options), file_(OpenForRead(path_)) {}
 
 StreamingCsvSource::~StreamingCsvSource() {
   {
@@ -46,108 +51,39 @@ Result<std::unique_ptr<StreamingCsvSource>> StreamingCsvSource::Open(
 }
 
 Status StreamingCsvSource::IndexFile() {
-  std::ifstream in(path_);
-  if (!in) return Status::IoError("cannot open for reading: " + path_);
-
-  int64_t train_end = 0;
-  bool saw_train_end = false;
-  std::string line;
-  // Optional comment lines before the header.
-  while (std::getline(in, line)) {
-    StripTrailingCr(&line);
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      const std::string key = "#train_end=";
-      if (line.rfind(key, 0) == 0) {
-        if (!ParseInt64(line.substr(key.size()), &train_end)) {
-          return Status::InvalidArgument("malformed #train_end header: '" +
-                                         line + "'");
-        }
-        saw_train_end = true;
-      }
-      continue;
-    }
-    break;  // `line` now holds the header
+  if (!file_.valid()) {
+    return Status::IoError("cannot open for reading: " + path_);
   }
-  if (line.empty()) return Status::InvalidArgument("empty CSV: " + path_);
-
-  std::vector<std::string> names;
-  {
-    std::stringstream ss(line);
-    std::string cell;
-    bool first = true;
-    while (std::getline(ss, cell, ',')) {
-      StripTrailingCr(&cell);
-      if (first) {
-        first = false;  // day column
-      } else {
-        if (cell.empty()) {
-          return Status::InvalidArgument("empty asset name in CSV header: " +
-                                         path_);
-        }
-        names.push_back(cell);
-      }
-    }
-  }
-  if (names.empty()) {
-    return Status::InvalidArgument("CSV has no asset columns: " + path_);
-  }
-
   // Validate every data row now — FetchChunk has no error channel, so a
   // malformed cell must be rejected here, with the file context in hand,
-  // not mid-backtest. Memory stays O(1): rows are parsed and discarded;
-  // only the byte offset of each chunk's first row is kept.
-  int64_t num_days = 0;
-  int64_t offset = static_cast<int64_t>(in.tellg());
-  while (std::getline(in, line)) {
-    StripTrailingCr(&line);
-    if (!line.empty() && line[0] != '#') {
-      std::stringstream ss(line);
-      std::string cell;
-      size_t cells = 0;
-      bool first = true;
-      while (std::getline(ss, cell, ',')) {
-        if (first) {
-          first = false;
-          continue;
+  // not mid-backtest. Memory stays O(1): the scan holds one block and one
+  // row; only the byte offset of each chunk's first row is kept.
+  CsvSummary summary;
+  int64_t data_end = 0;
+  const Status scanned = ScanCsv(
+      file_.get(), path_, &summary,
+      [&](const double* /*prices*/, int64_t row_offset, int64_t next_offset) {
+        if (summary.num_days % options_.chunk_days == 0) {
+          chunk_offsets_.push_back(row_offset);
         }
-        double v = 0.0;
-        const Status parsed = ParsePriceCell(cell, &v);
-        if (!parsed.ok()) return parsed;
-        ++cells;
-      }
-      if (cells != names.size()) {
-        return Status::InvalidArgument(
-            "ragged CSV row in " + path_ + ": expected " +
-            std::to_string(names.size()) + " prices, got " +
-            std::to_string(cells));
-      }
-      if (num_days % options_.chunk_days == 0) {
-        chunk_offsets_.push_back(offset);
-      }
-      ++num_days;
-    }
-    offset = static_cast<int64_t>(in.tellg());
-  }
-  if (num_days == 0) return Status::InvalidArgument("CSV has no data rows");
-  if (saw_train_end && (train_end < 0 || train_end > num_days)) {
-    return Status::InvalidArgument(
-        "#train_end=" + std::to_string(train_end) + " outside [0, " +
-        std::to_string(num_days) + "] in " + path_);
-  }
+        data_end = next_offset;
+      });
+  if (!scanned.ok()) return scanned;
+  chunk_offsets_.push_back(data_end);
 
-  meta_.num_days = num_days;
-  meta_.num_assets = static_cast<int64_t>(names.size());
-  meta_.train_end = train_end;
+  meta_.num_days = summary.num_days;
+  meta_.num_assets = static_cast<int64_t>(summary.asset_names.size());
+  meta_.train_end = summary.train_end;
   meta_.name = path_;
-  meta_.asset_names = std::move(names);
+  meta_.asset_names = std::move(summary.asset_names);
   return Status::OK();
 }
 
 std::shared_ptr<const PanelChunk> StreamingCsvSource::LoadChunk(
     int64_t index) const {
+  CIT_OBS_SPAN("source.load_us");
   CIT_CHECK(index >= 0 &&
-            index < static_cast<int64_t>(chunk_offsets_.size()));
+            index + 1 < static_cast<int64_t>(chunk_offsets_.size()));
   const int64_t start_day = index * options_.chunk_days;
   const int64_t days =
       std::min(options_.chunk_days, meta_.num_days - start_day);
@@ -159,33 +95,25 @@ std::shared_ptr<const PanelChunk> StreamingCsvSource::LoadChunk(
   chunk->num_assets = m;
   chunk->owned.resize(static_cast<size_t>(days * m));
 
-  std::ifstream in(path_);
-  CIT_CHECK_MSG(static_cast<bool>(in), "CSV vanished between Open and fetch");
-  in.seekg(chunk_offsets_[index]);
-  std::string line;
+  const int64_t begin = chunk_offsets_[index];
+  const size_t len = static_cast<size_t>(chunk_offsets_[index + 1] - begin);
+  const auto bytes = std::make_unique_for_overwrite<char[]>(len);
+  CIT_CHECK_MSG(PreadFull(file_.get(), bytes.get(), len, begin) ==
+                    static_cast<int64_t>(len),
+                "CSV changed after Open (short read)");
+  Splitter lines(std::string_view(bytes.get(), len), '\n');
+  std::string_view line;
   int64_t row = 0;
-  while (row < days && std::getline(in, line)) {
-    StripTrailingCr(&line);
-    if (line.empty() || line[0] == '#') continue;
-    std::stringstream ss(line);
-    std::string cell;
-    int64_t col = 0;
-    bool first = true;
-    while (std::getline(ss, cell, ',')) {
-      if (first) {
-        first = false;
-        continue;
-      }
-      double v = 0.0;
-      // Cells were validated at Open; a failure here means the file
-      // changed underneath us.
-      CIT_CHECK_MSG(ParsePriceCell(cell, &v).ok(),
-                    "CSV changed after Open (malformed cell)");
-      CIT_CHECK_LT(col, m);
-      chunk->owned[row * m + col] = v;
-      ++col;
-    }
-    CIT_CHECK_EQ(col, m);
+  while (lines.Next(&line)) {
+    line = StripTrailingCr(line);
+    if (!IsDataRow(line)) continue;
+    CIT_CHECK_LT(row, days);
+    // Rows were validated at Open; a failure here means the file changed
+    // underneath us.
+    CIT_CHECK_MSG(
+        ParseRow(line, static_cast<size_t>(m), path_, &chunk->owned[row * m])
+            .ok(),
+        "CSV changed after Open (malformed row)");
     ++row;
   }
   CIT_CHECK_EQ(row, days);
@@ -212,6 +140,7 @@ std::shared_ptr<const PanelChunk> StreamingCsvSource::Insert(
   resident_bytes_ += chunk->OwnedBytes();
   peak_resident_bytes_ = std::max(peak_resident_bytes_, resident_bytes_);
   ++chunk_loads_;
+  CIT_OBS_COUNT("source.chunk_loads", 1);
   resident_[index] = chunk;
   TouchLocked(index);
   while (static_cast<int64_t>(resident_.size()) >
@@ -233,6 +162,7 @@ std::shared_ptr<const PanelChunk> StreamingCsvSource::FetchChunk(
     auto it = resident_.find(index);
     if (it != resident_.end()) {
       ++chunk_hits_;
+      CIT_OBS_COUNT("source.chunk_hits", 1);
       TouchLocked(index);
       return it->second;
     }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "market/csv_parse.h"
 #include "market/source.h"
 
 namespace cit::market {
@@ -31,9 +32,9 @@ struct StreamingCsvOptions {
 };
 
 // Chunked CSV ingest: the file is indexed and fully validated once at
-// Open (O(1) memory), then chunks of `chunk_days` rows are parsed on
-// demand with the same hardened cell parsing as LoadPanelCsv — so a
-// backtest through a StreamingCsvSource is bitwise identical to one
+// Open (O(1) memory), then chunks of `chunk_days` rows are read with one
+// pread each and parsed in place by the same row scanner as LoadPanelCsv
+// — so a backtest through a StreamingCsvSource is bitwise identical to one
 // through LoadPanelCsv + InMemorySource, while resident chunk memory
 // stays under the configured budget regardless of panel length.
 class StreamingCsvSource : public PanelSource {
@@ -47,7 +48,9 @@ class StreamingCsvSource : public PanelSource {
   std::shared_ptr<const PanelChunk> FetchChunk(int64_t index) override;
   void Prefetch(int64_t first_day, int64_t last_day) override;
 
-  // Telemetry for tests and the ingest bench.
+  // Telemetry for tests and the ingest bench. Loads, hits and load time
+  // also reach the obs registry (source.chunk_loads, source.chunk_hits,
+  // source.load_us) while telemetry is enabled.
   int64_t resident_bytes() const;
   int64_t peak_resident_bytes() const;
   int64_t budget_bytes() const;
@@ -57,11 +60,13 @@ class StreamingCsvSource : public PanelSource {
  private:
   StreamingCsvSource(std::string path, StreamingCsvOptions options);
 
-  // One validating pass over the file: fills meta_, counts days, records
-  // the byte offset of each chunk's first data row.
+  // One validating pass over file_ in fixed-size blocks: fills meta_,
+  // counts days, records the byte offset of each chunk's first data row
+  // and the end of the last one.
   Status IndexFile();
-  // Parses chunk `index` from the file. Thread-safe (private stream per
-  // call); touches no shared state.
+  // Reads chunk `index`'s byte range with one pread and parses it in
+  // place. Thread-safe (pread moves no shared file cursor); touches no
+  // shared state.
   std::shared_ptr<const PanelChunk> LoadChunk(int64_t index) const;
   // Inserts under the lock, touching LRU and evicting past the budget.
   std::shared_ptr<const PanelChunk> Insert(
@@ -72,7 +77,10 @@ class StreamingCsvSource : public PanelSource {
   std::string path_;
   StreamingCsvOptions options_;
   PanelMeta meta_;
-  std::vector<int64_t> chunk_offsets_;  // byte offset of each chunk start
+  csv_internal::ScopedFd file_;  // opened by the constructor, read by pread
+  // Byte offset of each chunk's first data row, then one end sentinel:
+  // chunk c is the byte range [chunk_offsets_[c], chunk_offsets_[c + 1]).
+  std::vector<int64_t> chunk_offsets_;
 
   mutable std::mutex mu_;
   std::unordered_map<int64_t, std::shared_ptr<const PanelChunk>> resident_;

@@ -1,11 +1,18 @@
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "market/csv.h"
+#include "market/csv_parse.h"
 #include "market/panel.h"
 #include "market/simulator.h"
+#include "math/rng.h"
 #include "signal/filters.h"
 
 namespace cit::market {
@@ -309,6 +316,144 @@ TEST(Csv, LoadRejectsMalformedTrainEnd) {
   auto r = LoadPanelCsv(path);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+// ---- Cell parser: from_chars fast path vs the strtod-only parser ----------
+
+namespace {
+
+// The cell parser as it was before the from_chars fast path: strtod alone
+// decides. ParsePriceCell must match it verdict for verdict, bit for bit.
+bool ReferenceParsePriceCell(const std::string& cell, double* out) {
+  if (cell.empty()) return false;
+  char* end = nullptr;
+  const double v = std::strtod(cell.c_str(), &end);
+  if (end != cell.c_str() + cell.size()) return false;
+  if (!std::isfinite(v) || v <= 0.0) return false;
+  *out = v;
+  return true;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Returns whether the cell was accepted.
+bool ExpectSameAsReference(const std::string& cell) {
+  double want = 0.0, got = 0.0;
+  const bool want_ok = ReferenceParsePriceCell(cell, &want);
+  const bool got_ok = csv_internal::ParsePriceCell(cell, &got).ok();
+  EXPECT_EQ(got_ok, want_ok) << "cell '" << cell << "'";
+  if (want_ok && got_ok) {
+    EXPECT_EQ(Bits(got), Bits(want)) << "cell '" << cell << "'";
+  }
+  return got_ok;
+}
+
+}  // namespace
+
+TEST(CsvCell, EdgeCorpusMatchesStrtodReference) {
+  const std::vector<std::string> corpus = {
+      "+1.5", " 1.5", "1.5 ", "\t2", "0x1p3", "0X1.8P1", "1e400", "-1e400",
+      "1e-400", "4.9e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+      "1.7976931348623159e308", "inf", "-inf", "INF", "infinity", "nan",
+      "NaN", "nan(123)", "-0", "0", "0.0", "00012.50", "1,5", "", ".5", "5.",
+      ".", "-", "+", "e5", "1e", "1e+", "1e+5", "1E-5", "1.5e3x", "12abc",
+      "-3.5", "1.5\r", "1..5", "0.1", "123456.789012345",
+      "12345678901234567", "0.12345678901234567", "1.2345678901234567e-5",
+      "98765432109876543", "9007199254740993", "0.30000000000000004",
+      "1.00000000000000011102230246251565404236316680908203125",
+      "1.000000000000000111022302462515654042363166809082031251",
+      std::string(400, '9'), "0." + std::string(350, '0') + "1",
+  };
+  int accepted = 0;
+  for (const std::string& cell : corpus) accepted += ExpectSameAsReference(cell);
+  EXPECT_GT(accepted, 20);
+}
+
+TEST(CsvCell, MutatedCellsMatchStrtodReference) {
+  // Deterministic mutations of price-like seeds: inserted, replaced,
+  // deleted and duplicated characters from the alphabet of numbers, signs,
+  // exponents, hex, inf/nan spellings, whitespace and separators.
+  const std::vector<std::string> seeds = {
+      "123.456", "1e5", "0.1", "100", "-3", "1.5", "99999999999999999",
+      "4.9e-324", "0x1p3", "inf", "nan", "2.5E-3", "0.000001234", "7",
+      "314159.26535897932", "1e308"};
+  const std::string alphabet = "0123456789012345678.eE+-xXpPnaifNAIF \t,\r_";
+  math::Rng rng(20260415);
+  int accepted = 0;
+  for (int iter = 0; iter < 100000; ++iter) {
+    std::string cell = seeds[static_cast<size_t>(
+        rng.UniformInt(static_cast<int64_t>(seeds.size())))];
+    const int64_t edits = 1 + rng.UniformInt(4);
+    for (int64_t e = 0; e < edits; ++e) {
+      const int64_t op = rng.UniformInt(5);
+      const size_t pos = static_cast<size_t>(
+          rng.UniformInt(static_cast<int64_t>(cell.size()) + 1));
+      const char ch = alphabet[static_cast<size_t>(
+          rng.UniformInt(static_cast<int64_t>(alphabet.size())))];
+      if (op == 0) {
+        cell.insert(pos, 1, ch);
+      } else if (op == 1 && pos < cell.size()) {
+        cell[pos] = ch;
+      } else if (op == 2 && pos < cell.size()) {
+        cell.erase(pos, 1);
+      } else if (op == 3) {
+        // Long mantissas: the correctly rounded hard cases.
+        std::string digits;
+        const int64_t n = 10 + rng.UniformInt(20);
+        for (int64_t d = 0; d < n; ++d) {
+          digits.push_back(static_cast<char>('0' + rng.UniformInt(10)));
+        }
+        cell.insert(pos, digits);
+      } else if (op == 4 && !cell.empty()) {
+        cell += cell.substr(pos < cell.size() ? pos : 0, 3);
+      }
+    }
+    accepted += ExpectSameAsReference(cell);
+    if (::testing::Test::HasFailure()) break;  // one report is enough
+  }
+  // The corpus must exercise both verdicts heavily.
+  EXPECT_GT(accepted, 10000);
+  EXPECT_LT(accepted, 90000);
+}
+
+// ---- Save format ------------------------------------------------------------
+
+TEST(Csv, SaveBytesEqualPercentTenG) {
+  PricePanel p(3, 4);
+  p.asset_names() = {"A", "BB", "C_c", "D"};
+  p.set_train_end(2);
+  const double prices[3][4] = {
+      {1e-7, 1e15, 0.1, 123456.789012345},
+      {1.0, 2.5e-300, 9999999999.5, 1.7976931348623157e308},
+      {100.0, 0.30000000000000004, 123.456789012345678, 5e-324}};
+  for (int64_t t = 0; t < 3; ++t) {
+    for (int64_t i = 0; i < 4; ++i) p.SetClose(t, i, prices[t][i]);
+  }
+  std::string want = "#train_end=2\nday,A,BB,C_c,D\n";
+  for (int t = 0; t < 3; ++t) {
+    want += std::to_string(t);
+    for (int i = 0; i < 4; ++i) {
+      char cell[64];
+      std::snprintf(cell, sizeof(cell), ",%.10g", prices[t][i]);
+      want += cell;
+    }
+    want += "\n";
+  }
+  const std::string path = ::testing::TempDir() + "/panel_format.csv";
+  ASSERT_TRUE(SavePanelCsv(p, path).ok());
+  std::string got;
+  FILE* f = fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char buf[4096];
+  size_t n = 0;
+  while ((n = fread(buf, 1, sizeof(buf), f)) > 0) got.append(buf, n);
+  fclose(f);
+  EXPECT_EQ(got, want);
   std::remove(path.c_str());
 }
 

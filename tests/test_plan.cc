@@ -332,6 +332,7 @@ TEST(CompiledStaleness, CheckpointReloadBetweenDecides) {
 // parameter through Var::mutable_value invalidates exactly once, then the
 // re-recorded plan replays again.
 TEST(CompiledStaleness, MutationInvalidatesOnceThenReplays) {
+  CompileAllowedScope scope(true);
   ag::Var w = ag::Var::Param(Tensor::Full({8}, 0.5f));
   Tensor x = Tensor::Full({8}, 2.0f);
   plan::CompiledFn fn;
@@ -359,6 +360,7 @@ TEST(CompiledStaleness, MutationInvalidatesOnceThenReplays) {
 // ---- Shape-keyed cache -------------------------------------------------------
 
 TEST(CompiledCache, DistinctShapesGetDistinctPlans) {
+  CompileAllowedScope scope(true);
   plan::CompiledFn fn;
   ag::NoGradGuard no_grad;
   for (int64_t n : {4, 8, 4, 8}) {
@@ -373,6 +375,7 @@ TEST(CompiledCache, DistinctShapesGetDistinctPlans) {
 }
 
 TEST(CompiledCache, LruEvictionBeyondCapacity) {
+  CompileAllowedScope scope(true);
   plan::CompiledFn fn;
   ag::NoGradGuard no_grad;
   auto run_len = [&](int64_t n) {
@@ -395,6 +398,7 @@ TEST(CompiledCache, LruEvictionBeyondCapacity) {
 // re-record of an LRU-dropped key is an evicted miss — the signal that the
 // shape working set (e.g. a serving mix of batch sizes) exceeds capacity.
 TEST(CompiledCache, MissSplitDistinguishesColdFromEvicted) {
+  CompileAllowedScope scope(true);
   plan::CompiledFn fn;
   ag::NoGradGuard no_grad;
   auto run_len = [&](int64_t n) {
@@ -427,6 +431,7 @@ TEST(CompiledCache, MissSplitDistinguishesColdFromEvicted) {
 // SetCapacity widens the LRU so a shape working set that would thrash the
 // default 8 entries (the serving batcher's live batch sizes) replays.
 TEST(CompiledCache, WidenedCapacityStopsThrash) {
+  CompileAllowedScope scope(true);
   plan::CompiledFn fn;
   fn.SetCapacity(32);
   ag::NoGradGuard no_grad;
@@ -450,6 +455,7 @@ TEST(CompiledCache, WidenedCapacityStopsThrash) {
 // ---- Elementwise fusion ------------------------------------------------------
 
 TEST(CompiledFusion, FusedChainMatchesInterpreted) {
+  CompileAllowedScope scope(true);
   math::Rng rng(11);
   Tensor x = Tensor::Uniform({64}, rng, -2, 2);
   // Four single-use elementwise links collapse into the producer's sweep.
@@ -494,6 +500,7 @@ TEST(CompiledFusion, SharedIntermediateStaysMaterialized) {
 // replays never see stale weights, and the tape built between replays
 // produces the same gradients as an uncompiled process.
 TEST(CompiledMixed, InferenceReplaysBesideTapedTraining) {
+  CompileAllowedScope scope(true);
   math::Rng rng(13);
   nn::Mlp net({6, 8, 3}, rng);
   nn::Adam opt(nn::ParamVars(net), 0.05f, 0.9f, 0.999f, 1e-8f, 0.0f);
@@ -556,6 +563,7 @@ TEST(CompiledMixed, InferenceReplaysBesideTapedTraining) {
 // (no NoGradGuard) replays the same values, and the recording pass's own
 // graph still backpropagates.
 TEST(CompiledMixed, RecordsUnderGradMode) {
+  CompileAllowedScope scope(true);
   ag::Var w = ag::Var::Param(Tensor::Full({4}, 2.0f));
   Tensor x = Tensor::Full({4}, 3.0f);
   plan::CompiledFn fn;
@@ -653,6 +661,7 @@ TEST(ArenaStats, GuardedForwardsReportHitsAndBytes) {
 // daemon's replica-per-worker design relies on.
 
 TEST(PlanOwner, SameThreadReuseIsFineAndClearReleasesThePin) {
+  CompileAllowedScope scope(true);
   plan::CompiledFn fn;
   Tensor x = Tensor::Full({8}, 1.0f);
   auto forward = [&] { return ag::Relu(ag::Var::Constant(x)); };
@@ -681,6 +690,7 @@ TEST(PlanOwnerDeathTest, CrossThreadUseAbortsInDebugBuilds) {
   GTEST_SKIP() << "single-owner enforcement is compiled out under NDEBUG";
 #else
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  CompileAllowedScope scope(true);
   plan::CompiledFn fn;
   Tensor x = Tensor::Full({8}, 1.0f);
   auto forward = [&] { return ag::Relu(ag::Var::Constant(x)); };

@@ -17,6 +17,7 @@
 #include "market/simulator.h"
 #include "market/source.h"
 #include "market/streaming_csv.h"
+#include "obs/telemetry.h"
 #include "olps/strategies.h"
 
 namespace cit::market {
@@ -203,6 +204,139 @@ TEST(Source, StreamingCsvOpenRejectsBadFiles) {
   EXPECT_FALSE(opened.ok());  // negative price must fail at Open
   auto missing = StreamingCsvSource::Open(path + ".nope");
   EXPECT_FALSE(missing.ok());
+}
+
+// Row-scanner pins: the line and cell splitting rules every loader shares
+// (getline semantics — a trailing comma drops one empty field, CRLF loses
+// one '\r', an unterminated last line still counts, blank and '#' rows are
+// skipped wherever they fall, chunk boundaries included). LoadPanelCsv and
+// StreamingCsvSource must reach the same verdict and the same bytes.
+struct ScannerCase {
+  const char* name;
+  std::string body;
+  bool ok;
+  std::vector<std::string> asset_names;
+  std::vector<std::vector<double>> closes;
+  int64_t train_end = 0;
+};
+
+std::vector<ScannerCase> ScannerCases() {
+  return {
+      {"trailing_comma", "day,A,B,\n0,1,2,\n1,3,4,\n", true, {"A", "B"},
+       {{1, 2}, {3, 4}}},
+      {"two_trailing_commas", "day,A,B\n0,1,2,,\n", false, {}, {}},
+      {"no_final_newline", "day,A,B\n0,1,2\n1,3,4", true, {"A", "B"},
+       {{1, 2}, {3, 4}}},
+      {"no_final_newline_crlf", "day,A\r\n0,1\r\n1,3\r", true, {"A"},
+       {{1}, {3}}},
+      {"header_double_cr", "day,A\r\r\n0,1\n", true, {"A"}, {{1}}},
+      {"cell_double_cr", "day,A\n0,1\r\r\n", false, {}, {}},
+      {"blank_day_column", ",A\n,5\n", true, {"A"}, {{5}}},
+      {"strtod_only_cells", "day,A,B\n0, 1.5,+2\n1,0x1p3,2.5\n", true,
+       {"A", "B"}, {{1.5, 2}, {8, 2.5}}},
+      {"late_train_end_is_a_comment",
+       "#train_end=1\nday,A\n0,1\n#train_end=99\n1,2\n", true, {"A"},
+       {{1}, {2}}, 1},
+      {"crlf_comments_straddling_chunks",
+       "#train_end=4\n\n# leading\r\nday,A,B\r\n"
+       "0,1,2\n\n1,1.5,2.5\r\n# between\n2,2,3\n"
+       "# before day 3\n\r\n3,3,4\n4,4,5\n#\n5,5,6\n\n#x\n"
+       "6,6,7\n# trailing\n\n#unterminated",
+       true, {"A", "B"},
+       {{1, 2}, {1.5, 2.5}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}}, 4},
+      {"whitespace_row", "day,A\n0,1\n \n", false, {}, {}},
+      {"empty_asset_name", "day,A,,B\n0,1,2,3\n", false, {}, {}},
+      {"comments_only", "#c\n\n#train_end=0\n", false, {}, {}},
+      {"no_asset_columns", "day\n0\n", false, {}, {}},
+      {"no_data_rows", "day,A\n#c\n\n", false, {}, {}},
+  };
+}
+
+TEST(Source, RowScannerPinsAgreeAcrossLoaders) {
+  for (const ScannerCase& c : ScannerCases()) {
+    SCOPED_TRACE(c.name);
+    const std::string path =
+        ::testing::TempDir() + "cit_scanner_" + c.name + ".csv";
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(c.body.data(), 1, c.body.size(), f);
+    std::fclose(f);
+
+    auto loaded = LoadPanelCsv(path);
+    ASSERT_EQ(loaded.ok(), c.ok) << loaded.status().ToString();
+    const int64_t days = static_cast<int64_t>(c.closes.size());
+    for (int64_t chunk_days : {int64_t{1}, int64_t{3}, std::max<int64_t>(
+                                                           days, 1)}) {
+      for (bool prefetch : {false, true}) {
+        StreamingCsvOptions options;
+        options.chunk_days = chunk_days;
+        options.max_resident_chunks = 2;
+        options.prefetch = prefetch;
+        auto opened = StreamingCsvSource::Open(path, options);
+        ASSERT_EQ(opened.ok(), c.ok) << opened.status().ToString();
+        if (!c.ok) continue;
+        auto source = std::move(opened).value();
+        const PricePanel& panel = loaded.value();
+        ASSERT_EQ(panel.asset_names(), c.asset_names);
+        ASSERT_EQ(source->meta().asset_names, c.asset_names);
+        ASSERT_EQ(panel.num_days(), days);
+        ASSERT_EQ(source->meta().num_days, days);
+        EXPECT_EQ(panel.train_end(), c.train_end);
+        EXPECT_EQ(source->meta().train_end, c.train_end);
+        PanelView view(source.get());
+        // Backwards, so every chunk is re-read after eviction too.
+        for (int64_t t = days - 1; t >= 0; --t) {
+          for (size_t i = 0; i < c.asset_names.size(); ++i) {
+            const int64_t a = static_cast<int64_t>(i);
+            EXPECT_EQ(panel.Close(t, a), c.closes[t][i]);
+            EXPECT_EQ(view.Close(t, a), c.closes[t][i])
+                << "chunk_days=" << chunk_days << " prefetch=" << prefetch
+                << " day=" << t << " asset=" << i;
+          }
+        }
+      }
+    }
+    std::remove(path.c_str());
+  }
+}
+
+// Loads, hits and load time reach the obs registry while telemetry is on,
+// and nothing is recorded while it is off.
+TEST(Source, StreamingCsvPublishesCountersToRegistry) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  const PricePanel panel = SimulateMarket(SmallConfig(36));
+  const std::string path = WriteTempCsv(panel, "registry");
+  StreamingCsvOptions options;
+  options.chunk_days = 16;
+  options.max_resident_chunks = 2;
+  options.prefetch = false;
+  auto opened = StreamingCsvSource::Open(path, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  auto source = std::move(opened).value();
+  obs::Registry& registry = obs::Registry::Global();
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  registry.ResetAll();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int64_t c = 0; c < source->num_chunks(); ++c) {
+      (void)source->FetchChunk(c);
+      (void)source->FetchChunk(c);  // resident: a hit
+    }
+  }
+  const uint64_t loads = static_cast<uint64_t>(source->chunk_loads());
+  const uint64_t hits = static_cast<uint64_t>(source->chunk_hits());
+  EXPECT_EQ(loads, 2 * static_cast<uint64_t>(source->num_chunks()));
+  EXPECT_EQ(hits, loads);
+  EXPECT_EQ(registry.GetCounter("source.chunk_loads").Total(), loads);
+  EXPECT_EQ(registry.GetCounter("source.chunk_hits").Total(), hits);
+  EXPECT_EQ(registry.GetHistogram("source.load_us").Get().count, loads);
+  obs::SetEnabled(false);
+  (void)source->FetchChunk(0);
+  (void)source->FetchChunk(0);
+  EXPECT_EQ(registry.GetCounter("source.chunk_loads").Total(), loads);
+  EXPECT_EQ(registry.GetCounter("source.chunk_hits").Total(), hits);
+  EXPECT_EQ(registry.GetHistogram("source.load_us").Get().count, loads);
+  obs::SetEnabled(was_enabled);
 }
 
 // Shared source, one private view per thread: equal reads, no races
